@@ -22,7 +22,7 @@ use bullfrog_engine::Database;
 
 use crate::controller::ActiveMigration;
 use crate::granule::{Granule, GranuleState};
-use crate::migrate::{candidates_for, migrate_candidates, MigrateOptions};
+use crate::migrate::{all_candidates, migrate_candidates, MigrateOptions};
 
 /// Background migration settings.
 #[derive(Debug, Clone)]
@@ -106,10 +106,14 @@ fn run_worker(
     // immediately under 2PL).
     migration.wait_ready();
     // Enumerate the full candidate space once (the old schema is frozen
-    // during migration, so the space is stable).
-    let all_granules = match candidates_for(db, rt, None) {
-        Ok(c) => c,
-        Err(_) => return, // tables dropped under us — nothing to do
+    // during migration, so the space is stable once the pre-flip
+    // stragglers are done; a lock timeout waiting for them retries).
+    let all_granules = loop {
+        match all_candidates(db, rt) {
+            Ok(c) => break c,
+            Err(e) if e.is_retryable() && !shutdown.load(Ordering::Acquire) => {}
+            Err(_) => return, // tables dropped under us — nothing to do
+        }
     };
     let mine: Vec<Granule> = all_granules
         .iter()

@@ -42,15 +42,14 @@ impl EagerMigrator {
     }
 
     /// Runs the whole migration synchronously; returns when the new schema
-    /// is fully populated. The logical flip happens at call time: clients
-    /// seeing [`SchemaVersion::New`] will block on the table locks until
-    /// the copy finishes.
+    /// is fully populated. The logical flip is published once the X table
+    /// locks are held, so clients seeing [`SchemaVersion::New`] block on
+    /// them until the copy finishes.
     pub fn migrate(&self, mut plan: MigrationPlan) -> Result<()> {
         plan.resolve(&self.db)?;
         for s in &plan.statements {
             self.db.create_table(s.output.clone())?;
         }
-        self.flipped.store(true, Ordering::Release);
 
         let mut txn = self.db.begin();
         let result = (|| -> Result<()> {
@@ -73,6 +72,9 @@ impl EagerMigrator {
                         }
                     })?;
             }
+            // Publish the flip only now: before the locks, a client could
+            // see the new schema and read the still-empty output tables.
+            self.flipped.store(true, Ordering::Release);
             for s in &plan.statements {
                 let out = execute_spec(&self.db, &mut txn, &s.spec, &ExecOptions::default())?;
                 for row in out.rows {

@@ -192,7 +192,8 @@ impl CheckpointImage {
             tables.insert(table, rows);
         }
         let nmigrated = codec::get_u32(&mut bytes)?;
-        let mut migrated = Vec::with_capacity(nmigrated as usize);
+        // Untrusted count: each entry takes at least five bytes.
+        let mut migrated = Vec::with_capacity((nmigrated as usize).min(bytes.remaining() / 5));
         for _ in 0..nmigrated {
             let migration = codec::get_u32(&mut bytes)?;
             migrated.push((migration, codec::get_granule(&mut bytes)?));

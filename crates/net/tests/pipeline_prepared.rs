@@ -599,3 +599,35 @@ fn unsplittable_row_fails_the_statement_not_the_session() {
     let (_, rows) = c.query_rows("SELECT id FROM huge WHERE id = 1").unwrap();
     assert_eq!(rows, vec![Row(vec![Value::Int(1)])]);
 }
+
+#[test]
+fn execute_with_a_forged_param_arity_fails_only_its_session() {
+    let (_server, addr, _) = serve();
+    let mut admin = Client::connect(addr).unwrap();
+    admin
+        .execute("CREATE TABLE t (id INT, PRIMARY KEY (id))")
+        .unwrap();
+
+    // A valid EXECUTE frame whose 4-byte parameter arity (after the
+    // opcode and the u64 statement id) is overwritten with u32::MAX.
+    let mut frame = Request::Execute {
+        id: 1,
+        params: Row(vec![]),
+    }
+    .encode()
+    .to_vec();
+    frame[9..13].copy_from_slice(&u32::MAX.to_be_bytes());
+    let mut s = TcpStream::connect(addr).unwrap();
+    wire::write_preamble(&mut s).unwrap();
+    wire::write_frame(&mut s, &frame.into()).unwrap();
+    match wire::read_response(&mut s) {
+        Ok(Some(Response::Err { .. })) | Ok(None) | Err(_) => {}
+        Ok(Some(other)) => panic!("expected ERR or a close, got {other:?}"),
+    }
+
+    // The server is still up: a second session works end to end.
+    let mut c = Client::connect(addr).unwrap();
+    c.execute("INSERT INTO t VALUES (7)").unwrap();
+    let (_, rows) = c.query_rows("SELECT id FROM t").unwrap();
+    assert_eq!(rows, vec![Row(vec![Value::Int(7)])]);
+}

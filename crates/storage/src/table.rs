@@ -6,7 +6,7 @@ use bullfrog_common::{Error, Result, Row, RowId, TableId};
 use parking_lot::RwLock;
 
 use crate::heap::TableHeap;
-use crate::index::{BTreeIndex, IndexDef};
+use crate::index::{BTreeIndex, IndexBuilder, IndexDef};
 use crate::page::DEFAULT_SLOTS_PER_PAGE;
 use bullfrog_common::TableSchema;
 
@@ -96,26 +96,25 @@ impl Table {
         let key_columns = self
             .schema
             .col_indices(&columns.iter().map(|s| s.to_string()).collect::<Vec<_>>())?;
-        let idx = Arc::new(BTreeIndex::new(IndexDef {
+        let mut builder = IndexBuilder::new(IndexDef {
             name: name.to_owned(),
-            key_columns: key_columns.clone(),
+            key_columns,
             unique,
-        }));
+        });
         // Backfill before publishing so readers never see a partial index.
         let mut failure = None;
-        self.heap.scan(
-            |rid, row| match idx.insert(self.name(), row.key(&key_columns), rid) {
+        self.heap
+            .scan(|rid, row| match builder.add(self.name(), row, rid) {
                 Ok(()) => true,
                 Err(e) => {
                     failure = Some(e);
                     false
                 }
-            },
-        );
+            });
         if let Some(e) = failure {
             return Err(e);
         }
-        self.indexes.write().push(idx);
+        self.indexes.write().push(Arc::new(builder.finish()));
         Ok(())
     }
 
@@ -130,6 +129,28 @@ impl Table {
             .read()
             .iter()
             .find(|i| i.def().name == name)
+            .cloned()
+    }
+
+    /// Removes the index named `name`; returns whether it existed.
+    pub fn drop_index(&self, name: &str) -> bool {
+        let mut indexes = self.indexes.write();
+        let before = indexes.len();
+        indexes.retain(|i| i.def().name != name);
+        indexes.len() < before
+    }
+
+    /// An index whose leading key columns are exactly the set `cols`, in
+    /// any order: its distinct prefixes of that length are the distinct
+    /// values of `cols`.
+    pub fn index_led_by(&self, cols: &[usize]) -> Option<Arc<BTreeIndex>> {
+        self.indexes
+            .read()
+            .iter()
+            .find(|idx| {
+                let key = &idx.def().key_columns;
+                key.len() >= cols.len() && cols.iter().all(|c| key[..cols.len()].contains(c))
+            })
             .cloned()
     }
 

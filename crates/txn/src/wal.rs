@@ -1644,9 +1644,23 @@ fn parse_file_header(bytes: &[u8]) -> WalHeader {
         } else {
             WalHeader::Torn
         }
+    } else if bytes.len() < FILE_MAGIC.len() && FILE_MAGIC.starts_with(bytes) {
+        // The header write itself was cut short.
+        WalHeader::Torn
     } else {
         WalHeader::Flat { base: 0, offset: 0 }
     }
+}
+
+/// A headerless legacy file opens with a record. When not even the first
+/// record decodes, the bytes are no WAL this version wrote (or their
+/// header is corrupt): refuse them rather than read them as an empty log,
+/// which `open_shard` would then overwrite.
+fn check_headerless(bytes: &[u8], offset: usize, consumed: usize) -> Result<()> {
+    if offset == 0 && consumed == 0 && !bytes.is_empty() {
+        return Err(Error::Wal("unrecognized WAL file header".into()));
+    }
+    Ok(())
 }
 
 /// Appends one frame: `first_lsn:u64 nbytes:u32 payload`. The length
@@ -1747,6 +1761,7 @@ fn open_shard(spath: &Path, shard: u32, shards: u32) -> Result<(std::fs::File, u
         }
         WalHeader::Flat { base, offset } => {
             let (records, consumed) = Wal::decode_prefix(Bytes::copy_from_slice(&bytes[offset..]));
+            check_headerless(&bytes, offset, consumed)?;
             let mut image = BytesMut::new();
             image.put_slice(&encode_header(base, shard, shards));
             if consumed > 0 {
@@ -1783,7 +1798,8 @@ fn load_shard_file(spath: &Path) -> Result<(u64, Vec<(u64, LogRecord)>)> {
             Ok((base, frames))
         }
         WalHeader::Flat { base, offset } => {
-            let (records, _) = Wal::decode_prefix(Bytes::from(bytes).slice(offset..));
+            let (records, consumed) = Wal::decode_prefix(Bytes::copy_from_slice(&bytes[offset..]));
+            check_headerless(&bytes, offset, consumed)?;
             Ok((
                 base,
                 records
@@ -1958,7 +1974,8 @@ fn get_granule(buf: &mut Bytes) -> Result<GranuleKey> {
         0 => Ok(GranuleKey::Ordinal(get_u64(buf)?)),
         1 => {
             let n = get_u32(buf)? as usize;
-            let mut vals = Vec::with_capacity(n);
+            // Untrusted count: every value takes at least one byte.
+            let mut vals = Vec::with_capacity(n.min(buf.remaining()));
             for _ in 0..n {
                 vals.push(get_value(buf)?);
             }
@@ -1986,7 +2003,9 @@ fn put_row(buf: &mut BytesMut, row: &Row) {
 
 fn get_row(buf: &mut Bytes) -> Result<Row> {
     let n = get_u32(buf)? as usize;
-    let mut vals = Vec::with_capacity(n);
+    // Untrusted count (EXECUTE parameters arrive straight off the wire):
+    // every value takes at least one byte, so the bytes left bound it.
+    let mut vals = Vec::with_capacity(n.min(buf.remaining()));
     for _ in 0..n {
         vals.push(get_value(buf)?);
     }
@@ -2451,6 +2470,51 @@ mod tests {
         let (base, records) = Wal::load_file_with_base(&path).unwrap();
         assert_eq!(base, 0);
         assert_eq!(records, sample_records());
+        remove_sharded(&path);
+    }
+
+    /// An insert record whose row claims `u32::MAX` values, followed by
+    /// one byte: decoding must fail cleanly, not try to reserve ~100 GB.
+    fn huge_arity_insert() -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_INSERT);
+        buf.put_u64(1);
+        buf.put_u32(1);
+        put_rid(&mut buf, RowId::new(0, 0));
+        buf.put_u32(u32::MAX);
+        buf.put_u8(2);
+        buf
+    }
+
+    #[test]
+    fn untrusted_counts_are_bounded_by_the_bytes_left() {
+        let mut row = BytesMut::new();
+        row.put_u32(u32::MAX);
+        row.put_u8(0);
+        assert!(codec::get_row(&mut row.freeze()).is_err());
+        let mut granule = BytesMut::new();
+        granule.put_u8(1);
+        granule.put_u32(u32::MAX);
+        assert!(codec::get_granule(&mut granule.freeze()).is_err());
+        assert!(decode_record(&mut huge_arity_insert().freeze()).is_err());
+    }
+
+    #[test]
+    fn corrupt_header_is_an_error_not_an_abort() {
+        let path = temp_wal("corrupt");
+        // No magic, and no record decodes from the first byte on.
+        let bytes = huge_arity_insert();
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(Wal::load_file(&path).is_err());
+        assert!(Wal::with_file_opts(&path, one_shard(Duration::ZERO)).is_err());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes.to_vec(),
+            "a refused file is left as it was"
+        );
+        // A magic cut short by a crash still reads as an empty log.
+        std::fs::write(&path, &FILE_MAGIC[..3]).unwrap();
+        assert!(Wal::load_file(&path).unwrap().is_empty());
         remove_sharded(&path);
     }
 
