@@ -271,8 +271,15 @@ impl LockManager {
     }
 
     /// Non-blocking acquire; `Ok(false)`/`Ok(true)` as in `acquire`, error
-    /// when the lock is unavailable *now*.
-    pub fn try_acquire(&self, txn: TxnId, key: LockKey, mode: LockMode) -> Result<bool> {
+    /// when the lock is unavailable *now*. Holds by `ally` are compatible,
+    /// as in [`LockManager::acquire_deadline_ally`].
+    pub fn try_acquire(
+        &self,
+        txn: TxnId,
+        key: LockKey,
+        mode: LockMode,
+        ally: Option<TxnId>,
+    ) -> Result<bool> {
         let shard = self.shard(&key);
         let mut locks = shard.locks.lock();
         let state = locks.entry(key).or_default();
@@ -281,7 +288,7 @@ impl LockManager {
                 return Ok(false);
             }
         }
-        if state.grantable(txn, mode, None) {
+        if state.grantable(txn, mode, ally) {
             let newly = state.held_mode(txn).is_none();
             state.grant(txn, mode);
             Ok(newly)
@@ -457,7 +464,9 @@ mod tests {
         let lm = lm();
         lm.acquire(T1, row(1), LockMode::X).unwrap();
         let t0 = Instant::now();
-        assert!(lm.try_acquire(T2, row(1), LockMode::S).is_err());
+        assert!(lm.try_acquire(T2, row(1), LockMode::S, None).is_err());
+        // The holder's ally is let through at once.
+        assert!(lm.try_acquire(T2, row(1), LockMode::S, Some(T1)).unwrap());
         assert!(t0.elapsed() < Duration::from_millis(10));
     }
 
